@@ -17,7 +17,13 @@ module Slots = Ct_util.Slots
      interface.  Either way a slot is a stable location for the
      lifetime of its ANode, so CAS identities work exactly as in the
      paper (DESIGN.md "Slot layout").
-   - The SNode [txn] field is a closed variant instead of [Any].
+   - An SNode is one heap block, an inline record [{hash; key; value;
+     mutable txn}] under the constructor: a leaf's identity is its
+     block's identity, and a cached read reaches the binding with one
+     pointer chase.  [txn] (a closed variant instead of the paper's
+     [Any]) is field 3, read with a plain load and CASed in place
+     through the runtime's [caml_atomic_cas_field], the same stub as
+     the flat ANode slots (DESIGN.md §8.1 "SNode layout").
    - Full 32-bit hash collisions are resolved with immutable LNodes
      (association lists), updated by direct slot CAS and frozen by
      wrapping in FNode.
@@ -41,9 +47,10 @@ module Prefetch = Ct_util.Prefetch
 
 (* Yield points (DESIGN.md "Fault injection & robustness"): one site
    per distinct CAS/write, registered once per program.  [yp_cas]
-   brackets a CAS on an [Atomic.t] (txn fields, descriptor cells, the
-   cache head) and [yp_cas_slot] a CAS on an ANode slot, so that After
-   fires only when the value was actually published. *)
+   brackets a CAS on an [Atomic.t] (descriptor cells, the cache head),
+   [yp_cas_slot] a CAS on an ANode slot and [yp_cas_txn] (inside
+   [Make], next to the node type) a CAS on an SNode's [txn] field, so
+   that After fires only when the value was actually published. *)
 let yp_freeze_null = Yp.register "cachetrie.freeze.null"
 let yp_freeze_txn = Yp.register "cachetrie.freeze.txn"
 let yp_freeze_wrap = Yp.register "cachetrie.freeze.wrap"
@@ -140,14 +147,14 @@ module Make (H : Hashing.HASHABLE) = struct
   type 'v node =
     | Null  (** empty ANode slot *)
     | FVNode  (** frozen empty slot *)
-    | SNode of 'v snode  (** leaf holding one binding *)
+    | SNode of { hash : int; key : key; value : 'v; mutable txn : 'v txn }
+        (** leaf holding one binding, in one block: [txn] is field 3,
+            read plainly and CASed in place ([yp_cas_txn]) *)
     | ANode of 'v anode  (** inner node: 4 (narrow) or 16 (wide) slots *)
     | LNode of 'v lnode  (** list of bindings whose 32-bit hashes collide *)
     | FNode of 'v node  (** freeze wrapper for an ANode or LNode *)
     | ENode of 'v enode  (** expansion descriptor *)
     | XNode of 'v xnode  (** compression descriptor *)
-
-  and 'v snode = { hash : int; key : key; value : 'v; txn : 'v txn Atomic.t }
 
   and 'v txn =
     | No_txn
@@ -174,6 +181,22 @@ module Make (H : Hashing.HASHABLE) = struct
     x_level : int;  (** level of the node being compressed *)
     x_repl : 'v node option Atomic.t;
   }
+
+  (* The SNode's [txn] is field 3 of its block (after [hash], [key],
+     [value]).  It is CASed in place through the same runtime stub as
+     the flat ANode slots; reads are plain loads of the mutable field
+     (DESIGN.md §8.1 "SNode layout").  [leaf] must be an [SNode]. *)
+  let txn_field = 3
+
+  let yp_cas_txn m site (leaf : 'v node) (expected : 'v txn) (repl : 'v txn) =
+    Metrics.incr m Metrics.Cas_attempts;
+    Yp.here Yp.Before site;
+    let ok =
+      Ct_util.Atomic_slots.cas_field (Obj.repr leaf) txn_field
+        (Obj.repr expected) (Obj.repr repl)
+    in
+    if ok then Yp.here Yp.After site else Metrics.incr m Metrics.Cas_retries;
+    ok
 
   (* Cache (paper Figure 5): a list of levels, deepest first.  Entry
      arrays are plain: see the header comment.  Miss counters are a
@@ -256,7 +279,7 @@ module Make (H : Hashing.HASHABLE) = struct
   let apos (an : 'v anode) h lev = (h lsr lev) land (Slots.length an - 1)
   let is_narrow (an : 'v anode) = Slots.length an = narrow_width
 
-  let fresh_snode h k v = SNode { hash = h; key = k; value = v; txn = Atomic.make No_txn }
+  let fresh_snode h k v = SNode { hash = h; key = k; value = v; txn = No_txn }
 
   (* Association-list operations with the structure's own key equality
      (the [List.assoc_opt]/[List.remove_assoc] they replace used
@@ -406,9 +429,9 @@ module Make (H : Hashing.HASHABLE) = struct
           end
       | FVNode -> incr i
       | SNode sn as old -> begin
-          match Atomic.get sn.txn with
+          match sn.txn with
           | No_txn ->
-              if yp_cas m yp_freeze_txn sn.txn No_txn Frozen_snode then begin
+              if yp_cas_txn m yp_freeze_txn old No_txn Frozen_snode then begin
                 Metrics.incr m Metrics.Freezes;
                 incr i
               end
@@ -710,7 +733,7 @@ module Make (H : Hashing.HASHABLE) = struct
         let pos = h land (Array.length cl.c_entries - 1) in
         match cl.c_entries.(pos) with
         | SNode sn -> (
-            match Atomic.get sn.txn with
+            match sn.txn with
             | No_txn ->
                 Metrics.incr_at t.metrics mcur Metrics.Cache_hits;
                 if H.equal sn.key k then sn.value else raise_notrace Not_found
@@ -721,7 +744,7 @@ module Make (H : Hashing.HASHABLE) = struct
             match Slots.get an cpos with
             | FVNode | FNode _ -> probe_find t k h mcur cl.c_parent
             | SNode s2
-              when (match Atomic.get s2.txn with
+              when (match s2.txn with
                    | Frozen_snode -> true
                    | No_txn | Replace _ | Removed -> false) ->
                 probe_find t k h mcur cl.c_parent
@@ -759,15 +782,15 @@ module Make (H : Hashing.HASHABLE) = struct
     | If_present  (** JDK replace(k,v) *)
     | If_value of 'v  (** JDK replace(k,old,new): physical equality on the old value *)
 
-  (* Announce a transaction on [old] and commit it into slot [pos] of
-     [cur].  [old_node] must be the value physically read from the slot
-     (CAS compares identities).  The first CAS invalidates cache
-     entries pointing at [old]; the second publishes the change in the
-     trie. *)
-  let announce_and_commit m (cur : 'v anode) pos (old : 'v snode)
-      (old_node : 'v node) txn_value repl =
-    if yp_cas m yp_txn_announce old.txn No_txn txn_value then begin
-      ignore (yp_cas_slot m yp_txn_commit cur pos old_node repl);
+  (* Announce a transaction on the SNode [old] and commit it into slot
+     [pos] of [cur].  [old] must be the block physically read from the
+     slot: both CASes target it (its [txn] field, then the slot holding
+     it).  The first CAS invalidates cache entries pointing at [old];
+     the second publishes the change in the trie. *)
+  let announce_and_commit m (cur : 'v anode) pos (old : 'v node) txn_value
+      repl =
+    if yp_cas_txn m yp_txn_announce old No_txn txn_value then begin
+      ignore (yp_cas_slot m yp_txn_commit cur pos old repl);
       true
     end
     else false
@@ -789,7 +812,7 @@ module Make (H : Hashing.HASHABLE) = struct
             else insert_at t k v h lev cur prev mode)
     | ANode an -> insert_at t k v h (lev + 4) an (Some cur) mode
     | SNode old as old_node -> begin
-        match Atomic.get old.txn with
+        match old.txn with
         | No_txn ->
             leaf_housekeeping t old_node h (lev + 4);
             if H.equal old.key k then begin
@@ -799,7 +822,7 @@ module Make (H : Hashing.HASHABLE) = struct
               | Always | If_present | If_value _ ->
                   let repl = fresh_snode h k v in
                   if
-                    announce_and_commit t.metrics cur pos old old_node
+                    announce_and_commit t.metrics cur pos old_node
                       (Replace repl) repl
                   then Done_some old.value
                   else insert_at t k v h lev cur prev mode
@@ -811,7 +834,7 @@ module Make (H : Hashing.HASHABLE) = struct
                  Narrow nodes expand first, so LNodes (and ANode
                  children) only ever live inside wide nodes. *)
               let ln = LNode { lhash = h; entries = [ (k, v); (old.key, old.value) ] } in
-              if announce_and_commit t.metrics cur pos old old_node (Replace ln) ln
+              if announce_and_commit t.metrics cur pos old_node (Replace ln) ln
               then Done_none
               else insert_at t k v h lev cur prev mode
             end
@@ -860,7 +883,7 @@ module Make (H : Hashing.HASHABLE) = struct
               (* Wide node: push both bindings one level down. *)
               let child = join_disjoint t.config old.hash old.key old.value h k v (lev + 4) in
               if
-                announce_and_commit t.metrics cur pos old old_node
+                announce_and_commit t.metrics cur pos old_node
                   (Replace child) child
               then Done_none
               else insert_at t k v h lev cur prev mode
@@ -979,12 +1002,12 @@ module Make (H : Hashing.HASHABLE) = struct
         | Done_none | Restart -> ());
         res
     | SNode old as old_node -> begin
-        match Atomic.get old.txn with
+        match old.txn with
         | No_txn ->
             if not (H.equal old.key k) then Done_none
             else if not (rmode_allows rmode old.value) then Done_some old.value
             else if
-              announce_and_commit t.metrics cur pos old old_node Removed Null
+              announce_and_commit t.metrics cur pos old_node Removed Null
             then begin
               try_compress t cur lev h prev;
               Done_some old.value
@@ -1054,7 +1077,7 @@ module Make (H : Hashing.HASHABLE) = struct
             match Slots.get an cpos with
             | FVNode | FNode _ -> probe_insert t k v h mode cl.c_parent
             | SNode s2
-              when (match Atomic.get s2.txn with
+              when (match s2.txn with
                    | Frozen_snode -> true
                    | No_txn | Replace _ | Removed -> false) ->
                 probe_insert t k v h mode cl.c_parent
@@ -1104,7 +1127,7 @@ module Make (H : Hashing.HASHABLE) = struct
             match Slots.get an cpos with
             | FVNode | FNode _ -> probe_remove t k h rmode cl.c_parent
             | SNode s2
-              when (match Atomic.get s2.txn with
+              when (match s2.txn with
                    | Frozen_snode -> true
                    | No_txn | Replace _ | Removed -> false) ->
                 probe_remove t k h rmode cl.c_parent
@@ -1201,7 +1224,7 @@ module Make (H : Hashing.HASHABLE) = struct
         let pos = h land (Array.length cl.c_entries - 1) in
         match cl.c_entries.(pos) with
         | SNode sn -> (
-            match Atomic.get sn.txn with
+            match sn.txn with
             | No_txn ->
                 Metrics.incr_at t.metrics mcur Metrics.Cache_hits;
                 if H.equal sn.key keys.(base + p) then
@@ -1215,7 +1238,7 @@ module Make (H : Hashing.HASHABLE) = struct
             | FVNode | FNode _ ->
                 probe_start t scr keys base out miss mcur p cl.c_parent
             | SNode s2
-              when (match Atomic.get s2.txn with
+              when (match s2.txn with
                    | Frozen_snode -> true
                    | No_txn | Replace _ | Removed -> false) ->
                 probe_start t scr keys base out miss mcur p cl.c_parent
@@ -1440,7 +1463,7 @@ module Make (H : Hashing.HASHABLE) = struct
       match node with
       | Null | FVNode -> acc
       | SNode sn -> (
-          match Atomic.get sn.txn with
+          match sn.txn with
           | Removed -> acc
           | Replace repl -> go_node acc repl
           | No_txn | Frozen_snode -> f acc sn.key sn.value)
@@ -1464,7 +1487,7 @@ module Make (H : Hashing.HASHABLE) = struct
       match node with
       | Null | FVNode -> rest ()
       | SNode sn -> (
-          match Atomic.get sn.txn with
+          match sn.txn with
           | Removed -> rest ()
           | Replace repl -> seq_node repl rest ()
           | No_txn | Frozen_snode -> Seq.Cons ((sn.key, sn.value), rest))
@@ -1522,37 +1545,63 @@ module Make (H : Hashing.HASHABLE) = struct
     Slots.iter (fun child -> go child 1) t.root;
     hist
 
-  (* Word-cost model (see DESIGN.md): array = 1 + length; per-slot
-     overhead = Slots.overhead_words_per_slot (2 for the boxed layout's
-     Atomic box, 0 flat); SNode block = 5 (+ its txn box); list cell =
-     3; LNode = 3. *)
+  (* Word-cost model (see DESIGN.md), one term per heap block, header
+     included:
+     - ANode slot array = 1 + width, plus
+       Slots.overhead_words_per_slot per slot (2 for the boxed
+       layout's Atomic box, 0 flat);
+     - every [ANode] reference = 2 more, the constructor block around
+       the slot array (the root is held unwrapped; a cache entry's
+       [ANode] is its own block, not the trie's);
+     - SNode = 5: header + hash, key, value, txn in one block;
+     - FNode = 2; LNode = 2 + 3 (record) + 6 per binding (list cell
+       and pair);
+     - ENode/XNode = 2 + 6 (record) + 2 (the result cell), plus the
+       node they hold;
+     - a cache entry charges only what the trie does not own: the
+       entry's own [ANode] block (2), or a detached SNode (5, plus 2
+       for a [Replace] box) that the cache keeps alive until the slot
+       is overwritten or scrubbed.  A live SNode entry is the trie's
+       block and costs 0.
+     Keys and values are charged nothing: they are immediates in the
+     int-keyed benchmarks, and shared with the caller otherwise. *)
   let footprint_words t =
-    let rec node_words (node : 'v node) =
+    let rec anode_words (an : 'v anode) =
+      Slots.fold
+        (fun acc child -> acc + Slots.overhead_words_per_slot + node_words child)
+        (1 + Slots.length an)
+        an
+    and node_words (node : 'v node) =
       match node with
       | Null | FVNode -> 0
-      | SNode _ -> 5 + 2
-      | LNode ln -> 3 + (3 * List.length ln.entries)
+      | SNode _ -> 5
+      | LNode ln -> 5 + (6 * List.length ln.entries)
       | FNode inner -> 2 + node_words inner
-      | ANode an ->
-          Slots.fold
-            (fun acc child -> acc + Slots.overhead_words_per_slot + node_words child)
-            (1 + Slots.length an)
-            an
-      | ENode en -> 6 + node_words (ANode en.e_narrow)
-      | XNode xn -> 6 + node_words (ANode xn.x_stale)
+      | ANode an -> 2 + anode_words an
+      | ENode en -> 10 + anode_words en.e_narrow
+      | XNode xn -> 10 + anode_words xn.x_stale
+    in
+    let entry_words acc (entry : 'v node) =
+      match entry with
+      | ANode _ -> acc + 2
+      | SNode { txn = No_txn; _ } -> acc
+      | SNode { txn = Replace _; _ } -> acc + 7
+      | SNode { txn = Frozen_snode | Removed; _ } -> acc + 5
+      | Null | FVNode | LNode _ | FNode _ | ENode _ | XNode _ -> acc
     in
     let cache_words =
       let rec go = function
         | None -> 0
         | Some cl ->
             1 + Array.length cl.c_entries
+            + Array.fold_left entry_words 0 cl.c_entries
             + Stripe.footprint_words cl.c_misses
             + 4
             + go cl.c_parent
       in
       go (Atomic.get t.cache_head)
     in
-    node_words (ANode t.root) + cache_words + 8
+    anode_words t.root + cache_words + 8
 
   (* ---------------------------------------------------------------- *)
   (* Cache coherence helpers, shared by [validate] and [scrub].        *)
@@ -1586,7 +1635,7 @@ module Make (H : Hashing.HASHABLE) = struct
         match child with
         | FVNode | FNode _ -> ()
         | SNode sn -> (
-            match Atomic.get sn.txn with
+            match sn.txn with
             | Frozen_snode -> ()
             | No_txn | Replace _ | Removed -> ok := false)
         | Null | ANode _ | LNode _ | ENode _ | XNode _ -> ok := false)
@@ -1604,9 +1653,9 @@ module Make (H : Hashing.HASHABLE) = struct
     | Null -> Co_ok
     | SNode sn -> (
         match node_at t pos level with
-        | Some (SNode s) when s == sn -> Co_ok
+        | Some n when n == entry -> Co_ok
         | _ -> (
-            match Atomic.get sn.txn with
+            match sn.txn with
             | No_txn -> Co_broken "live SNode detached from the trie"
             | Frozen_snode | Replace _ | Removed -> Co_stale))
     | ANode an -> (
@@ -1640,7 +1689,7 @@ module Make (H : Hashing.HASHABLE) = struct
           if sn.hash <> hash_of sn.key then
             err "SNode hash %#x does not match key hash %#x" sn.hash (hash_of sn.key);
           check_hash "SNode" sn.hash lev prefix pmask;
-          match Atomic.get sn.txn with
+          match sn.txn with
           | No_txn -> ()
           | Frozen_snode -> err "frozen SNode reachable during quiescence"
           | Replace _ -> err "SNode with pending Replace during quiescence"
@@ -1715,7 +1764,7 @@ module Make (H : Hashing.HASHABLE) = struct
         match Slots.get an i with
         | Null | FVNode | FNode _ | LNode _ -> ()
         | SNode sn as old -> (
-            match Atomic.get sn.txn with
+            match sn.txn with
             | No_txn | Frozen_snode -> ()
             | Replace repl ->
                 if yp_cas_slot t.metrics yp_txn_help an i old repl then

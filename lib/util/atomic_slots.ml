@@ -1,3 +1,10 @@
+(* The runtime's field CAS: SC success ordering, GC write barrier
+   included (same primitive [Atomic.compare_and_set] compiles to, with
+   an explicit field index). *)
+external cas_field : Obj.t -> int -> Obj.t -> Obj.t -> bool
+  = "ct_slots_cas_stub"
+[@@noalloc]
+
 module type S = sig
   type 'a t
 
@@ -65,13 +72,6 @@ module Flat : S = struct
   let repr = "flat"
   let overhead_words_per_slot = 0
 
-  (* The runtime's field CAS: SC success ordering, GC write barrier
-     included (same primitive [Atomic.compare_and_set] compiles to,
-     with an explicit field index). *)
-  external unsafe_cas : Obj.t array -> int -> Obj.t -> Obj.t -> bool
-    = "ct_slots_cas_stub"
-  [@@noalloc]
-
   let make n v =
     let a = Array.make n (Obj.repr v) in
     if Obj.tag (Obj.repr a) = Obj.double_array_tag then
@@ -90,7 +90,7 @@ module Flat : S = struct
   let[@inline] set a i (v : 'a) = Obj.set_field (Obj.repr a) i (Obj.repr v)
 
   let[@inline] cas a i (expected : 'a) (repl : 'a) =
-    unsafe_cas a i (Obj.repr expected) (Obj.repr repl)
+    cas_field (Obj.repr a) i (Obj.repr expected) (Obj.repr repl)
 
   (* The slot array IS the node, so the cell address is the miss:
      hint the line without reading the field. *)

@@ -1,4 +1,6 @@
-/* CAS on an arbitrary field of a heap block, for Atomic_slots.Flat.
+/* CAS on an arbitrary field of a heap block: Atomic_slots.cas_field,
+ * used by Atomic_slots.Flat for slot arrays and by the cache-trie for
+ * the txn field of its leaf blocks.
  *
  * caml_atomic_cas_field is the runtime primitive behind
  * Atomic.compare_and_set (an Atomic.t is a 1-field block CASed at
@@ -9,7 +11,7 @@
 #include <caml/mlvalues.h>
 #include <caml/memory.h>
 
-CAMLprim value ct_slots_cas_stub(value arr, value idx, value oldv, value newv)
+CAMLprim value ct_slots_cas_stub(value blk, value idx, value oldv, value newv)
 {
-  return Val_bool(caml_atomic_cas_field(arr, Long_val(idx), oldv, newv));
+  return Val_bool(caml_atomic_cas_field(blk, Long_val(idx), oldv, newv));
 }

@@ -226,6 +226,39 @@ let test_ttl_refresh_wins_race () =
     (C.get t 1 = Some 11);
   check_ok "after refresh" t
 
+(* Entries without a TTL must not read the clock: a hit and an
+   eviction victim are decided without [now].  Only the wheel advance
+   at the top of each put reads it. *)
+let test_no_ttl_skips_clock () =
+  let calls = ref 0 in
+  let now () =
+    incr calls;
+    0
+  in
+  let cfg =
+    {
+      (Cache.default_config ~budget_words:(2 * ov)) with
+      Cache.stripes = 1;
+      max_entry_frac = 1.0;
+    }
+  in
+  let t = C.create ~config:cfg ~now ~cost:(fun _ _ -> 0) () in
+  check_int "default config has no TTL" 0 cfg.Cache.default_ttl_ns;
+  ignore (C.put t 1 1);
+  ignore (C.put t 2 2);
+  calls := 0;
+  check_bool "hit" true (C.get t 1 = Some 1);
+  check_bool "miss" true (C.get t 3 = None);
+  check_int "hit and miss read no clock" 0 !calls;
+  ignore (C.put t 3 3);
+  check_int "evicting put reads the clock once (wheel advance)" 1 !calls;
+  check_int "a victim was evicted" 1 (C.stats t).Cache.evictions;
+  ignore (C.put ~ttl_ns:100 t 4 4);
+  calls := 0;
+  check_bool "ttl hit" true (C.get t 4 = Some 4);
+  check_int "ttl hit reads the clock" 1 !calls;
+  check_ok "no-ttl clock" t
+
 (* -------------------------- negative caching ----------------------- *)
 
 let test_negative_caching () =
@@ -388,6 +421,7 @@ let suite =
     ("ttl_deterministic", `Quick, test_ttl_deterministic);
     ("ttl_wheel_reclaims", `Quick, test_ttl_wheel_reclaims);
     ("ttl_refresh_wins_race", `Quick, test_ttl_refresh_wins_race);
+    ("no_ttl_skips_clock", `Quick, test_no_ttl_skips_clock);
     ("negative_caching", `Quick, test_negative_caching);
     ("negative_stampede_concurrent", `Slow, test_negative_stampede_concurrent);
     ("get_or_load_positive", `Quick, test_get_or_load_positive);

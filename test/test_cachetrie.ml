@@ -544,6 +544,61 @@ let test_footprint_grows () =
   let emptied = CT.footprint_words t in
   check_bool "footprint shrinks after removals" true (emptied < after)
 
+(* Pin the leaf layout and the word-cost model against the runtime's
+   own heap walk.  With flat slots a leaf is one 5-word block and a
+   100k-key trie (its cache built by one read pass) holds ~11.8 words
+   per key; the seed's three-block leaf (constructor box, record,
+   [Atomic.t] txn box) was ~16, so a regression to a boxed leaf, or a
+   model that drifts from the real layout, fails here.  The boxed-slot
+   layout pays 2 more words per slot, hence its own bound. *)
+module type FOOTPRINT = sig
+  type 'v t
+
+  val create : unit -> 'v t
+  val insert : 'v t -> int -> 'v -> unit
+  val find : 'v t -> int -> 'v
+  val footprint_words : 'v t -> int
+end
+
+let check_layout (module M : FOOTPRINT) ~max_words_per_key () =
+  let n = 100_000 in
+  let t = M.create () in
+  for i = 0 to n - 1 do
+    M.insert t i i
+  done;
+  let found = ref 0 in
+  for i = 0 to n - 1 do
+    if M.find t i = i then incr found
+  done;
+  check_int "every key reads back" n !found;
+  let model = M.footprint_words t in
+  let reach = Obj.reachable_words (Obj.repr t) in
+  let err = Float.abs (float_of_int (model - reach)) /. float_of_int reach in
+  check_bool
+    (Printf.sprintf "model %d words within 5%% of reachable %d (off %.1f%%)"
+       model reach (100.0 *. err))
+    true (err <= 0.05);
+  let per_key = float_of_int reach /. float_of_int n in
+  check_bool
+    (Printf.sprintf "%.2f reachable words per key <= %.1f" per_key
+       max_words_per_key)
+    true
+    (per_key <= max_words_per_key)
+
+let layout_bound overhead_words_per_slot =
+  if overhead_words_per_slot = 0 then 12.5 else 20.5
+
+let test_leaf_layout =
+  check_layout
+    (module CT)
+    ~max_words_per_key:(layout_bound Slots.overhead_words_per_slot)
+
+let test_leaf_layout_boxed_twin =
+  check_layout
+    (module Cachetrie_boxed.Make (Hashing.Int_key))
+    ~max_words_per_key:
+      (layout_bound Atomic_slots.Boxed.overhead_words_per_slot)
+
 let test_stats_shape () =
   let t = CT.create () in
   let s = CT.cache_stats t in
@@ -585,5 +640,7 @@ let suite =
     ("slow_path_removal_compacts", `Slow, test_slow_path_removal_compacts);
     ("depth_histogram", `Slow, test_depth_histogram);
     ("footprint_grows", `Quick, test_footprint_grows);
+    ("leaf_layout_footprint", `Quick, test_leaf_layout);
+    ("leaf_layout_footprint_boxed_twin", `Quick, test_leaf_layout_boxed_twin);
     ("stats_shape", `Quick, test_stats_shape);
   ]
