@@ -1,29 +1,25 @@
-module Slots = Ct_util.Slots
-(* ^ Line 1 is load-bearing: lib/core/dune generates cachetrie_boxed.ml
-   by replacing exactly this line with an alias to Atomic_slots.Boxed,
-   so the boxed seed layout stays benchmarkable against the flat one in
-   the same binary.  Keep the alias on line 1, alone. *)
-
 (* Cache-trie: lock-free concurrent hash trie with a quiescently
    consistent cache (Prokopec, PPoPP'18).
 
    The implementation follows the paper's pseudocode (Figures 2-8)
    with the OCaml-specific decisions documented in DESIGN.md:
 
-   - ANodes are [Slots.t] arrays (Ct_util.Atomic_slots): by default a
-     single flat array CASed field-by-field through the runtime's
-     [caml_atomic_cas_field], with the seed's one-[Atomic.t]-box-per-
-     slot layout kept as the [Boxed] fallback behind the same
-     interface.  Either way a slot is a stable location for the
-     lifetime of its ANode, so CAS identities work exactly as in the
-     paper (DESIGN.md "Slot layout").
+   - An ANode is one heap block: it carries the [ANode] constructor's
+     tag, field 0 points at the block itself and fields 1..width hold
+     the slots ([Slots] below).  The pattern [ANode an] therefore binds
+     the block, a node's identity is its block's identity, and a cache
+     entry stores the trie's own block.  Slots are read with plain
+     loads and CASed in place through the runtime's
+     [caml_atomic_cas_field], so a slot is a stable location for the
+     lifetime of its ANode and CAS identities work exactly as in the
+     paper (DESIGN.md §8.1 "ANode layout").
    - An SNode is one heap block, an inline record [{hash; key; value;
      mutable txn}] under the constructor: a leaf's identity is its
      block's identity, and a cached read reaches the binding with one
      pointer chase.  [txn] (a closed variant instead of the paper's
      [Any]) is field 3, read with a plain load and CASed in place
-     through the runtime's [caml_atomic_cas_field], the same stub as
-     the flat ANode slots (DESIGN.md §8.1 "SNode layout").
+     through the same stub as the ANode slots (DESIGN.md §8.1 "SNode
+     layout").
    - Full 32-bit hash collisions are resolved with immutable LNodes
      (association lists), updated by direct slot CAS and frozen by
      wrapping in FNode.
@@ -36,6 +32,66 @@ module Slots = Ct_util.Slots
      inhabit uses a plain WRITE for the same reason).
    - [find] is the primitive read ([raise_notrace Not_found] on a
      miss); [lookup]/[mem] wrap it, so a hit allocates nothing. *)
+
+(* The slots of an ANode block: slot [i] is field [i + 1], field 0 is
+   the block itself.  [make] builds the block with the tag the caller
+   passes (the [ANode] constructor's), so the block is at once the
+   node and its slot array.  Fields are accessed as an array of a boxed
+   variant: the compiler then emits a plain load and [caml_modify],
+   without the generic array path's test for a float array (which
+   [Obj.field] would pay on every read). *)
+module Slots : sig
+  type 'a t
+
+  val make : tag:int -> int -> 'a -> 'a t
+  val length : 'a t -> int
+  val get : 'a t -> int -> 'a
+  val set : 'a t -> int -> 'a -> unit
+  val cas : 'a t -> int -> 'a -> 'a -> bool
+  val prefetch : 'a t -> int -> unit
+  val iter : ('a -> unit) -> 'a t -> unit
+  val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
+end = struct
+  type 'a t = Obj.t
+  type cell = Cell of int [@@warning "-37"]
+
+  let[@inline] cells (b : 'a t) : cell array = Obj.obj b
+
+  let[@inline] length b = Obj.size b - 1
+  let[@inline] get b i : 'a = Obj.obj (Obj.repr (Array.unsafe_get (cells b) (i + 1)))
+
+  let[@inline] set b i (v : 'a) =
+    Array.unsafe_set (cells b) (i + 1) (Obj.obj (Obj.repr v))
+
+  let make ~tag n (init : 'a) : 'a t =
+    let b = Obj.new_block tag (n + 1) in
+    Obj.set_field b 0 b;
+    for i = 0 to n - 1 do
+      set b i init
+    done;
+    b
+
+  (* The one field-CAS stub, shared with [Atomic_slots.Flat] and the
+     SNode [txn]: sequentially consistent, GC write barrier included. *)
+  let[@inline] cas b i (expected : 'a) (repl : 'a) =
+    Ct_util.Atomic_slots.cas_field b (i + 1) (Obj.repr expected) (Obj.repr repl)
+
+  (* The block is the node, so the slot's address is the miss: hint the
+     line without reading the field. *)
+  let[@inline] prefetch b i = Ct_util.Prefetch.cell (cells b) (i + 1)
+
+  let iter f b =
+    for i = 0 to length b - 1 do
+      f (get b i)
+    done
+
+  let fold f acc b =
+    let acc = ref acc in
+    for i = 0 to length b - 1 do
+      acc := f !acc (get b i)
+    done;
+    !acc
+end
 
 module Hashing = Ct_util.Hashing
 module Bits = Ct_util.Bits
@@ -150,7 +206,11 @@ module Make (H : Hashing.HASHABLE) = struct
     | SNode of { hash : int; key : key; value : 'v; mutable txn : 'v txn }
         (** leaf holding one binding, in one block: [txn] is field 3,
             read plainly and CASed in place ([yp_cas_txn]) *)
-    | ANode of 'v anode  (** inner node: 4 (narrow) or 16 (wide) slots *)
+    | ANode of 'v anode
+        (** inner node: 4 (narrow) or 16 (wide) slots, in one block whose
+            field 0 is the block itself (see [Slots]), so [ANode an]
+            binds the node; build one with [node_of_anode], never with
+            the constructor *)
     | LNode of 'v lnode  (** list of bindings whose 32-bit hashes collide *)
     | FNode of 'v node  (** freeze wrapper for an ANode or LNode *)
     | ENode of 'v enode  (** expansion descriptor *)
@@ -182,9 +242,18 @@ module Make (H : Hashing.HASHABLE) = struct
     x_repl : 'v node option Atomic.t;
   }
 
+  (* An ANode block carries this tag, so the block itself is a valid
+     [ANode] value; its field 0 (the constructor's argument) points back
+     at the block.  [node_of_anode] is the identity: an [ANode an]
+     application would allocate a 2-word box around the block, a
+     correct node that costs every read through it one more dependent
+     load, and that [validate] reports. *)
+  let anode_tag = Obj.tag (Obj.repr (ANode (Obj.magic 0)))
+  let[@inline] node_of_anode (an : 'v anode) : 'v node = Obj.magic an
+
   (* The SNode's [txn] is field 3 of its block (after [hash], [key],
      [value]).  It is CASed in place through the same runtime stub as
-     the flat ANode slots; reads are plain loads of the mutable field
+     the ANode slots; reads are plain loads of the mutable field
      (DESIGN.md §8.1 "SNode layout").  [leaf] must be an [SNode]. *)
   let txn_field = 3
 
@@ -250,7 +319,7 @@ module Make (H : Hashing.HASHABLE) = struct
     let rec p2 x = if x >= n then x else p2 (x * 2) in
     p2 1
 
-  let new_anode n : 'v anode = Slots.make n Null
+  let new_anode n : 'v anode = Slots.make ~tag:anode_tag n Null
 
   let create_with ~config () =
     let scratch_dummy =
@@ -323,7 +392,7 @@ module Make (H : Hashing.HASHABLE) = struct
       let an = new_anode narrow_width in
       Slots.set an np1 (fresh_snode h1 k1 v1);
       Slots.set an np2 (fresh_snode h2 k2 v2);
-      ANode an
+      node_of_anode an
     end
     else begin
       let wp1 = (h1 lsr lev) land (wide_width - 1)
@@ -334,7 +403,7 @@ module Make (H : Hashing.HASHABLE) = struct
         Slots.set an wp2 (fresh_snode h2 k2 v2)
       end
       else Slots.set an wp1 (join_disjoint cfg h1 k1 v1 h2 k2 v2 (lev + 4));
-      ANode an
+      node_of_anode an
     end
 
   (* Insert into a private (unpublished) subtree.  [build_insert node
@@ -366,7 +435,7 @@ module Make (H : Hashing.HASHABLE) = struct
           match Slots.get an pos with
           | Null ->
               Slots.set an pos (fresh_snode h k v);
-              ANode an
+              node_of_anode an
           | _ ->
               (* Promote the narrow node to a wide one, then insert. *)
               let wide = new_anode wide_width in
@@ -390,7 +459,7 @@ module Make (H : Hashing.HASHABLE) = struct
   and build_into_anode cfg (an : 'v anode) lev h k v : 'v node =
     let pos = apos an h lev in
     Slots.set an pos (build_insert cfg (Slots.get an pos) (lev + 4) h k v);
-    ANode an
+    node_of_anode an
 
   (* Collect all bindings of a frozen subtree (used by compression and
      as the generic expansion-copy fallback). *)
@@ -474,7 +543,7 @@ module Make (H : Hashing.HASHABLE) = struct
     | Some wide ->
         ignore
           (yp_cas_slot t.metrics yp_expand_commit en.e_parent en.e_parentpos
-             self (ANode wide))
+             self (node_of_anode wide))
     | None -> assert false
 
   and complete_compression t (self : 'v node) (xn : 'v xnode) =
@@ -490,7 +559,7 @@ module Make (H : Hashing.HASHABLE) = struct
           | many ->
               let an = new_anode wide_width in
               List.iter (fun (h, k, v) -> ignore (build_into_anode t.config an xn.x_level h k v)) many;
-              ANode an
+              node_of_anode an
         in
         if yp_cas t.metrics yp_compress_repl xn.x_repl None (Some repl) then
           Metrics.incr t.metrics Metrics.Compressions);
@@ -543,19 +612,15 @@ module Make (H : Hashing.HASHABLE) = struct
             | Some _ | None -> ())
     end
 
-  (* [inhabit] for the ANode the traversal is standing on.  Skips both
-     the [ANode] wrapper allocation and the entry store when the cache
-     already points at this exact node — the steady state for every
-     cache-served read, which would otherwise allocate 2 words and
+  (* [inhabit] for the ANode the traversal is standing on.  The entry
+     stores the trie's own block, so nothing is allocated; the store is
+     skipped when the cache already points at this exact node — the
+     steady state for every cache-served read, which would otherwise
      dirty the entry's cache line on each hit. *)
   let write_anode_entry cl (an : 'v anode) h =
-    let pos = h land (Array.length cl.c_entries - 1) in
-    match cl.c_entries.(pos) with
-    | ANode a when a == an -> ()
-    | _ ->
-        Yp.here Yp.Before yp_cache_install;
-        cl.c_entries.(pos) <- ANode an;
-        Yp.here Yp.After yp_cache_install
+    let nv = node_of_anode an in
+    if cl.c_entries.(h land (Array.length cl.c_entries - 1)) != nv then
+      write_entry cl nv h
 
   let inhabit_anode t (an : 'v anode) h lev =
     match Atomic.get t.cache_head with
@@ -1470,10 +1535,10 @@ module Make (H : Hashing.HASHABLE) = struct
       | LNode ln -> List.fold_left (fun acc (k, v) -> f acc k v) acc ln.entries
       | FNode inner -> go_node acc inner
       | ANode an -> Slots.fold go_node acc an
-      | ENode en -> go_node acc (ANode en.e_narrow)
-      | XNode xn -> go_node acc (ANode xn.x_stale)
+      | ENode en -> go_node acc (node_of_anode en.e_narrow)
+      | XNode xn -> go_node acc (node_of_anode xn.x_stale)
     in
-    go_node acc (ANode t.root)
+    go_node acc (node_of_anode t.root)
 
   let iter f t = fold (fun () k v -> f k v) () t
   let size t = fold (fun n _ _ -> n + 1) 0 t
@@ -1539,51 +1604,62 @@ module Make (H : Hashing.HASHABLE) = struct
       | LNode ln -> bump depth (List.length ln.entries)
       | FNode inner -> go inner depth
       | ANode an -> Slots.iter (fun child -> go child (depth + 1)) an
-      | ENode en -> go (ANode en.e_narrow) depth
-      | XNode xn -> go (ANode xn.x_stale) depth
+      | ENode en -> go (node_of_anode en.e_narrow) depth
+      | XNode xn -> go (node_of_anode xn.x_stale) depth
     in
     Slots.iter (fun child -> go child 1) t.root;
     hist
 
+  (* A detached ANode is benign in the cache only if it is fully
+     frozen: the probe fast path then rejects every slot on its own
+     (FVNode/FNode/frozen-SNode all fall through to the parent level).
+     Any live-looking slot in a detached node could serve stale data. *)
+  let frozen_anode (an : 'v anode) =
+    let ok = ref true in
+    Slots.iter
+      (fun child ->
+        match child with
+        | FVNode | FNode _ -> ()
+        | SNode sn -> (
+            match sn.txn with
+            | Frozen_snode -> ()
+            | No_txn | Replace _ | Removed -> ok := false)
+        | Null | ANode _ | LNode _ | ENode _ | XNode _ -> ok := false)
+      an;
+    !ok
+
   (* Word-cost model (see DESIGN.md), one term per heap block, header
      included:
-     - ANode slot array = 1 + width, plus
-       Slots.overhead_words_per_slot per slot (2 for the boxed
-       layout's Atomic box, 0 flat);
-     - every [ANode] reference = 2 more, the constructor block around
-       the slot array (the root is held unwrapped; a cache entry's
-       [ANode] is its own block, not the trie's);
+     - ANode = 2 + width: header, the self pointer and the slots; the
+       node is its own block, so a reference to it costs nothing more;
      - SNode = 5: header + hash, key, value, txn in one block;
      - FNode = 2; LNode = 2 + 3 (record) + 6 per binding (list cell
        and pair);
      - ENode/XNode = 2 + 6 (record) + 2 (the result cell), plus the
        node they hold;
-     - a cache entry charges only what the trie does not own: the
-       entry's own [ANode] block (2), or a detached SNode (5, plus 2
-       for a [Replace] box) that the cache keeps alive until the slot
-       is overwritten or scrubbed.  A live SNode entry is the trie's
-       block and costs 0.
+     - a cache entry charges only what the trie does not own: a
+       detached SNode (5, plus 2 for a [Replace] box) or a detached,
+       hence frozen, ANode block (2 + width) that the cache keeps alive
+       until the slot is overwritten or scrubbed.  A live entry is the
+       trie's own block and costs 0.
      Keys and values are charged nothing: they are immediates in the
      int-keyed benchmarks, and shared with the caller otherwise. *)
   let footprint_words t =
     let rec anode_words (an : 'v anode) =
-      Slots.fold
-        (fun acc child -> acc + Slots.overhead_words_per_slot + node_words child)
-        (1 + Slots.length an)
-        an
+      Slots.fold (fun acc child -> acc + node_words child) (2 + Slots.length an) an
     and node_words (node : 'v node) =
       match node with
       | Null | FVNode -> 0
       | SNode _ -> 5
       | LNode ln -> 5 + (6 * List.length ln.entries)
       | FNode inner -> 2 + node_words inner
-      | ANode an -> 2 + anode_words an
+      | ANode an -> anode_words an
       | ENode en -> 10 + anode_words en.e_narrow
       | XNode xn -> 10 + anode_words xn.x_stale
     in
     let entry_words acc (entry : 'v node) =
       match entry with
-      | ANode _ -> acc + 2
+      | ANode an -> if frozen_anode an then acc + 2 + Slots.length an else acc
       | SNode { txn = No_txn; _ } -> acc
       | SNode { txn = Replace _; _ } -> acc + 7
       | SNode { txn = Frozen_snode | Removed; _ } -> acc + 5
@@ -1615,32 +1691,14 @@ module Make (H : Hashing.HASHABLE) = struct
   let node_at t pos target =
     let rec go (node : 'v node) lev =
       match node with
-      | ENode en -> go (ANode en.e_narrow) lev
-      | XNode xn -> go (ANode xn.x_stale) lev
+      | ENode en -> go (node_of_anode en.e_narrow) lev
+      | XNode xn -> go (node_of_anode xn.x_stale) lev
       | FNode inner -> go inner lev
       | ANode an when lev < target ->
           go (Slots.get an ((pos lsr lev) land (Slots.length an - 1))) (lev + 4)
       | node -> if lev = target then Some node else None
     in
-    go (ANode t.root) 0
-
-  (* A detached ANode is benign in the cache only if it is fully
-     frozen: the probe fast path then rejects every slot on its own
-     (FVNode/FNode/frozen-SNode all fall through to the parent level).
-     Any live-looking slot in a detached node could serve stale data. *)
-  let frozen_anode (an : 'v anode) =
-    let ok = ref true in
-    Slots.iter
-      (fun child ->
-        match child with
-        | FVNode | FNode _ -> ()
-        | SNode sn -> (
-            match sn.txn with
-            | Frozen_snode -> ()
-            | No_txn | Replace _ | Removed -> ok := false)
-        | Null | ANode _ | LNode _ | ENode _ | XNode _ -> ok := false)
-      an;
-    !ok
+    go (node_of_anode t.root) 0
 
   (* Coherence of one cache entry, shared by [validate] (report) and
      [scrub] (clear).  [Ok] = still reachable at the recorded level;
@@ -1665,6 +1723,11 @@ module Make (H : Hashing.HASHABLE) = struct
     | LNode _ -> Co_stale (* dead weight: the probe never uses LNode entries *)
     | FVNode | FNode _ | ENode _ | XNode _ ->
         Co_broken "cache entry holds a freeze marker or descriptor"
+
+  (* The [Slots] layout invariant for a node matched as [ANode an]: the
+     node is the block itself (its field 0 points back at it), not a
+     constructor box around the block. *)
+  let own_block (node : 'v node) (an : 'v anode) = Obj.repr node == Obj.repr an
 
   (* Structural invariant checker used by the property tests.  Only
      meaningful during quiescence. *)
@@ -1704,6 +1767,8 @@ module Make (H : Hashing.HASHABLE) = struct
               if hash_of k <> ln.lhash then err "LNode entry with mismatched hash")
             ln.entries
       | ANode an ->
+          if not (own_block node an) then
+            err "ANode at level %d reached through a constructor box" lev;
           if in_narrow then err "ANode stored inside a narrow ANode"
           else begin
             let w = Slots.length an in
@@ -1717,9 +1782,7 @@ module Make (H : Hashing.HASHABLE) = struct
             done
           end
     in
-    for i = 0 to Slots.length t.root - 1 do
-      go (Slots.get t.root i) 4 i (wide_width - 1) false
-    done;
+    go (node_of_anode t.root) 0 0 0 false;
     (* Cache coherence: every entry still reaches the recorded level
        from the root, or is self-invalidating stale (see
        [entry_coherence]).  A live-looking detached entry would serve
@@ -1733,6 +1796,11 @@ module Make (H : Hashing.HASHABLE) = struct
               (Array.length cl.c_entries) (1 lsl cl.c_level);
           Array.iteri
             (fun pos entry ->
+              (match entry with
+              | ANode an when not (own_block entry an) ->
+                  err "cache level %d entry %#x: ANode reached through a constructor box"
+                    cl.c_level pos
+              | _ -> ());
               match entry_coherence t cl.c_level pos entry with
               | Co_ok | Co_stale -> ()
               | Co_broken what ->

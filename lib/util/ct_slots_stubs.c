@@ -1,6 +1,6 @@
 /* CAS on an arbitrary field of a heap block: Atomic_slots.cas_field,
  * used by Atomic_slots.Flat for slot arrays and by the cache-trie for
- * the txn field of its leaf blocks.
+ * the slots of its ANode blocks and the txn field of its leaf blocks.
  *
  * caml_atomic_cas_field is the runtime primitive behind
  * Atomic.compare_and_set (an Atomic.t is a 1-field block CASed at

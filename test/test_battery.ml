@@ -654,9 +654,10 @@ end
 
 module Cachetrie_battery = Battery (Cachetrie.Make)
 
-(* The boxed-slot twin runs the identical battery: the layout swap must
-   be behaviourally invisible. *)
-module Cachetrie_boxed_battery = Battery (Cachetrie_boxed.Make)
+(* The same battery with every key a heap block (Boxed_keys): the
+   trie's hand-built leaves then point at data the GC moves, and every
+   key comparison goes through [equal]. *)
+module Cachetrie_boxed_battery = Battery (Boxed_keys.Make (Cachetrie.Make))
 module Ctrie_battery = Battery (Ctrie.Make)
 module Ctrie_snap_battery = Battery (Ctrie_snap.Make)
 module Chm_battery = Battery (Chm.Split_ordered.Make)

@@ -544,34 +544,24 @@ let test_footprint_grows () =
   let emptied = CT.footprint_words t in
   check_bool "footprint shrinks after removals" true (emptied < after)
 
-(* Pin the leaf layout and the word-cost model against the runtime's
-   own heap walk.  With flat slots a leaf is one 5-word block and a
-   100k-key trie (its cache built by one read pass) holds ~11.8 words
-   per key; the seed's three-block leaf (constructor box, record,
-   [Atomic.t] txn box) was ~16, so a regression to a boxed leaf, or a
-   model that drifts from the real layout, fails here.  The boxed-slot
-   layout pays 2 more words per slot, hence its own bound. *)
-module type FOOTPRINT = sig
-  type 'v t
-
-  val create : unit -> 'v t
-  val insert : 'v t -> int -> 'v -> unit
-  val find : 'v t -> int -> 'v
-  val footprint_words : 'v t -> int
-end
-
-let check_layout (module M : FOOTPRINT) ~max_words_per_key () =
+(* Pin the node layout and the word-cost model against the runtime's
+   own heap walk.  A leaf is one 5-word block and an ANode one block of
+   2 + width words (header, self pointer, slots), so a 100k-key trie
+   (its cache built by one read pass) holds ~11.1 words per key.  A leaf
+   boxed again (~16), ANodes behind constructor boxes (~11.8), or a
+   model that drifts from the real layout fails here. *)
+let test_leaf_layout () =
   let n = 100_000 in
-  let t = M.create () in
+  let t = CT.create () in
   for i = 0 to n - 1 do
-    M.insert t i i
+    CT.insert t i i
   done;
   let found = ref 0 in
   for i = 0 to n - 1 do
-    if M.find t i = i then incr found
+    if CT.find t i = i then incr found
   done;
   check_int "every key reads back" n !found;
-  let model = M.footprint_words t in
+  let model = CT.footprint_words t in
   let reach = Obj.reachable_words (Obj.repr t) in
   let err = Float.abs (float_of_int (model - reach)) /. float_of_int reach in
   check_bool
@@ -580,24 +570,42 @@ let check_layout (module M : FOOTPRINT) ~max_words_per_key () =
     true (err <= 0.05);
   let per_key = float_of_int reach /. float_of_int n in
   check_bool
-    (Printf.sprintf "%.2f reachable words per key <= %.1f" per_key
-       max_words_per_key)
-    true
-    (per_key <= max_words_per_key)
+    (Printf.sprintf "%.2f reachable words per key <= 11.5" per_key)
+    true (per_key <= 11.5)
 
-let layout_bound overhead_words_per_slot =
-  if overhead_words_per_slot = 0 then 12.5 else 20.5
-
-let test_leaf_layout =
-  check_layout
-    (module CT)
-    ~max_words_per_key:(layout_bound Slots.overhead_words_per_slot)
-
-let test_leaf_layout_boxed_twin =
-  check_layout
-    (module Cachetrie_boxed.Make (Hashing.Int_key))
-    ~max_words_per_key:
-      (layout_bound Atomic_slots.Boxed.overhead_words_per_slot)
+(* [validate] pins the ANode layout.  An [ANode] constructor box around
+   a node block is still a correct node, but every read through it pays
+   one more dependent load, so a construction site that brings the box
+   back must fail every suite that validates.  The box is planted by
+   hand: the root is field 0 of the map record, its slot [i] is field
+   [i + 1], and an ANode block is the one whose field 0 is itself. *)
+let test_validate_rejects_boxed_anode () =
+  let t = CT.create () in
+  for i = 0 to 999 do
+    CT.insert t i i
+  done;
+  check_bool "valid before" true (CT.validate t = Ok ());
+  let root = Obj.field (Obj.repr t) 0 in
+  check_bool "root is its own field 0" true (Obj.field root 0 == root);
+  let child = Obj.field root 1 in
+  check_bool "root slot 0 holds an ANode block" true
+    (Obj.is_block child && Obj.field child 0 == child);
+  let box = Obj.new_block (Obj.tag child) 1 in
+  Obj.set_field box 0 child;
+  Obj.set_field root 1 box;
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+    go 0
+  in
+  (match CT.validate t with
+  | Ok () -> Alcotest.fail "validate accepted an ANode behind a constructor box"
+  | Error e -> check_bool ("reports the box: " ^ e) true (contains e "constructor box"));
+  for i = 0 to 999 do
+    check_int "reads still correct through the box" i (CT.find t i)
+  done;
+  Obj.set_field root 1 child;
+  check_bool "valid after restoring" true (CT.validate t = Ok ())
 
 let test_stats_shape () =
   let t = CT.create () in
@@ -641,6 +649,6 @@ let suite =
     ("depth_histogram", `Slow, test_depth_histogram);
     ("footprint_grows", `Quick, test_footprint_grows);
     ("leaf_layout_footprint", `Quick, test_leaf_layout);
-    ("leaf_layout_footprint_boxed_twin", `Quick, test_leaf_layout_boxed_twin);
+    ("validate_rejects_boxed_anode", `Quick, test_validate_rejects_boxed_anode);
     ("stats_shape", `Quick, test_stats_shape);
   ]

@@ -202,7 +202,7 @@ let test_accepts_replace_if_then_remove_if () =
 (* ------------------- real structures, random runs ------------------ *)
 
 module CT = Cachetrie.Make (Ct_util.Hashing.Int_key)
-module CTB = Cachetrie_boxed.Make (Ct_util.Hashing.Int_key)
+module CTB = Boxed_keys.Make (Cachetrie.Make) (Ct_util.Hashing.Int_key)
 module CTR = Ctrie.Make (Ct_util.Hashing.Int_key)
 module SO = Chm.Split_ordered.Make (Ct_util.Hashing.Int_key)
 module ST = Chm.Striped.Make (Ct_util.Hashing.Int_key)
